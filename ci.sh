@@ -9,7 +9,8 @@
 # goroutine-parallel accumulation and tree reductions (kernel, seq,
 # par, dimtree, cpals — including the float32 storage-path kernels in
 # kernel and sparse) plus the blocked linear algebra and sparse layers
-# they fan out into.
+# they fan out into, then the bitwise worker-independence tests at
+# GOMAXPROCS 1, 2 and 4.
 #
 # Usage: ./ci.sh
 set -eu
@@ -55,6 +56,13 @@ go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel
 
 echo "== go test -race (engine packages) =="
 go test -race ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...
+
+echo "== go test -cpu 1,2,4 (bitwise worker independence) =="
+# The bitwise worker-count-independence tests again at GOMAXPROCS 1, 2
+# and 4, so the default worker count (GOMAXPROCS) varies too.
+go test -count=1 -cpu 1,2,4 \
+	-run '^(TestGemmBitwiseAcrossWorkers|TestGemmBlocksBitwise|TestCSFWorkerBitwise|TestFastWorkersEquivalence|TestReduceTreeBitwiseAcrossWorkerCounts|TestEngine.*Worker.*|TestAdapterWorkerIndependence|TestConcurrentPlans)$' \
+	./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/...
 
 echo "== instrumented smoke (obs bound ratios) =="
 # The blocked algorithm must land within a small constant of the best

@@ -41,7 +41,7 @@ func main() {
 	tol := flag.Float64("tol", 1e-8, "fit-improvement stopping tolerance")
 	gridFlag := flag.String("grid", "", "processor grid (e.g. 2,2,2); empty = sequential")
 	engine := flag.String("engine", "auto", "sequential MTTKRP engine: auto (cost-model planner) | independent | tree")
-	workers := flag.Int("workers", 0, "MTTKRP goroutines (0 = package default)")
+	workers := flag.Int("workers", 0, "MTTKRP goroutines (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 7, "seed")
 	obsFlag := flag.Bool("obs", false, "print the instrumented observability report")
 	obsJSON := flag.String("obs-json", "", "write the observability report as JSON to this path (- for stdout)")
@@ -102,8 +102,7 @@ func main() {
 				*engine = "independent"
 			}
 			planInfo = choice.PlanInfo()
-			fmt.Printf("plan: engine=%s workers=%d kc=%d mc=%d\n",
-				*engine, choice.Workers, choice.GemmKC, choice.GemmMC)
+			fmt.Printf("plan: engine=%s workers=%d\n", *engine, choice.Workers)
 		}
 	}
 	inst, err := workload.Generate(workload.Spec{Dims: dims, R: *trueRank, Seed: *seed, Noise: *noise})

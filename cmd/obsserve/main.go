@@ -63,7 +63,7 @@ func main() {
 	r := flag.Int("r", 8, "rank R")
 	mode := flag.Int("mode", 0, "MTTKRP mode for -algo fast")
 	algo := flag.String("algo", "fast", "looped workload: fast (KRP-splitting kernel) | tree (dimension-tree all-modes)")
-	workers := flag.Int("workers", 0, "engine goroutines (0 = package default)")
+	workers := flag.Int("workers", 0, "engine goroutines (0 = GOMAXPROCS)")
 	m := flag.Int64("m", 512, "fast memory words for the joined Thm 4.1 bound")
 	duration := flag.Duration("duration", 0, "stop after this long (0 = run until signaled)")
 	once := flag.Bool("once", false, "run a few iterations, scrape own /healthz and /metrics, then exit")

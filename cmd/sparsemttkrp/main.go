@@ -59,8 +59,7 @@ func main() {
 	}
 
 	// -engine auto routes the local-engine pick through the cost-model
-	// planner: csf vs coo decided from the nonzero count and rank, the
-	// CSF chunk tunable applied from the plan.
+	// planner: csf vs coo decided from the nonzero count and rank.
 	engineName := *engineFlag
 	var choice plan.Choice
 	planned := false
@@ -136,8 +135,8 @@ func main() {
 	}
 	fmt.Printf("Sparse MTTKRP (E19/E25): dims=%v R=%d P=%d engine=%v dtype=%s\n", dims, *r, *p, engine, *dtype)
 	if planned {
-		fmt.Printf("plan: engine=%s chunks=%d predicted=%v\n",
-			choice.Engine, choice.Chunks, time.Duration(choice.Predicted.Seconds*1e9))
+		fmt.Printf("plan: engine=%s predicted=%v\n",
+			choice.Engine, time.Duration(choice.Predicted.Seconds*1e9))
 	}
 	fmt.Printf("sequential mode-0, nnz=%d: coo=%v csf=%v (build %v), max |diff| = %.3g\n\n",
 		uni.NNZ(), cooDur, csfDur, buildDur, bCSF.MaxAbsDiff(bCOO))

@@ -26,7 +26,7 @@ import (
 func main() {
 	dimsFlag := flag.String("dims", "16,16,16", "tensor dimensions")
 	ranksFlag := flag.String("ranks", "3,3,3", "multilinear ranks")
-	engine := flag.String("engine", "auto", "engine selection: auto (cost-model planner picks the TTM chain engine, workers, and GEMM blocks) | default")
+	engine := flag.String("engine", "auto", "engine selection: auto (cost-model planner picks the TTM chain engine and workers) | default")
 	gridFlag := flag.String("grid", "", "processor grid; empty = sequential")
 	iters := flag.Int("iters", 10, "HOOI sweeps")
 	noise := flag.Float64("noise", 0.01, "noise half-width")
@@ -73,11 +73,8 @@ func main() {
 	// HOOI's hot loop is the TTM projection chains and mode Grams of
 	// internal/ttm. With -engine auto (the default) the calibrated
 	// planner plans the Tucker workload as a TTM-chain problem: the
-	// registry routes it to the chain engine, the worker count comes
-	// from the cost model, and the GEMM panel blocks are sized for the
-	// chain's dominant (first greedy) contraction. The tunables depend
-	// only on the shape and the cached calibration, never on the worker
-	// count.
+	// registry routes it to the chain engine and the worker count comes
+	// from the cost model.
 	var planInfo *obs.PlanInfo
 	workers := 0
 	switch *engine {
@@ -97,10 +94,9 @@ func main() {
 		choice.Apply()
 		planInfo = choice.PlanInfo()
 		workers = choice.Workers
-		fmt.Printf("plan: engine=%s workers=%d gemm blocks kc=%d mc=%d\n",
-			choice.Engine, choice.Workers, choice.GemmKC, choice.GemmMC)
+		fmt.Printf("plan: engine=%s workers=%d\n", choice.Engine, choice.Workers)
 	case "default":
-		// keep the package block sizes and worker default
+		// no plan: every pass runs at GOMAXPROCS workers
 	default:
 		fatal(fmt.Errorf("unknown -engine %q (want auto or default)", *engine))
 	}

@@ -53,7 +53,7 @@ func Fast(x *tensor.Dense, factors []*tensor.Matrix, n int) *tensor.Matrix {
 }
 
 // FastWorkers is Fast with an explicit goroutine count (<= 0 selects
-// the linalg package default, itself defaulting to GOMAXPROCS).
+// GOMAXPROCS).
 func FastWorkers(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *tensor.Matrix {
 	R := checkArgs(x, factors, n)
 	b := tensor.NewMatrix(x.Dim(n), R) //repro:ignore hotpath-alloc result allocation is the API; the zero-alloc path is FastInto

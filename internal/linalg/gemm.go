@@ -23,86 +23,62 @@ package linalg
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/simd"
 )
 
-// Cache-blocking parameters: the A panel held hot across a column
-// sweep is gemmMC x gemmKC words (512 KiB at 8 bytes/word by default,
-// sized for a typical L2). They are package variables — not constants
-// — so the cost-model planner (internal/plan) can retune them from
-// measured machine constants; see SetBlockSizes.
-var (
-	gemmKC = 256
-	gemmMC = 256
-)
+// gemmBudget is the hot-panel budget, in words, of one GEMM call: the
+// KC x MC panel of A held in cache across a column sweep (512 KiB at
+// 8 bytes/word, a typical per-core L2).
+const gemmBudget = 1 << 16
 
 // gemmSmall is the flop threshold below which spawning goroutines
 // costs more than it saves; such products run inline.
 const gemmSmall = 1 << 15
 
-// blockMin/blockMax bound the settable cache-blocking extents: below
-// 16 the register tiles dominate and the panel bookkeeping is pure
-// overhead; above 4096 the panel no longer fits any realistic cache.
-const (
-	blockMin = 16
-	blockMax = 4096
-)
-
-// SetBlockSizes retunes the GEMM cache-blocking extents (the KC x MC
-// A-panel held hot across a column sweep). Values are clamped to
-// [16, 4096]; n <= 0 restores a dimension's default (256). The blocks
-// change the floating-point summation order, so they must be fixed
-// before a run and never derived from the worker count — that is what
-// keeps results bitwise independent of the parallelism. Not safe to
-// call concurrently with running kernels; set once at planning time.
-func SetBlockSizes(kc, mc int) {
-	gemmKC = clampBlock(kc)
-	gemmMC = clampBlock(mc)
+// gemmBlocks sizes the cache blocks of an m x k x n GEMM — KC over
+// the contraction, MC over the output rows — by minimizing the
+// modeled slow-memory traffic
+//
+//	words(KC, MC) ~ m*k  +  k*n * ceil(m/MC)  +  2*m*n * ceil(k/KC)
+//
+// (stream A once; re-read each B panel per MC row block; read-modify-
+// write C per KC panel) subject to KC*MC <= gemmBudget. Candidates are
+// powers of two in [16, 4096], scanned in a fixed order with strict
+// improvement over 256 x 256, so the blocks are a pure function of the
+// shape. Every candidate KC is a multiple of the 4-wide register
+// unroll, so the kernels group the contraction index identically for
+// any pick: the blocks move traffic, never the result.
+func gemmBlocks(m, k, n int) (kc, mc int) {
+	kc, mc = 256, 256
+	if m <= mc && k <= kc {
+		return kc, mc // one block already reaches the traffic floor
+	}
+	best := gemmTrafficWords(m, k, n, kc, mc)
+	for ckc := 16; ckc <= 4096; ckc *= 2 {
+		for cmc := 16; cmc <= 4096 && ckc*cmc <= gemmBudget; cmc *= 2 {
+			if w := gemmTrafficWords(m, k, n, ckc, cmc); w < best {
+				best, kc, mc = w, ckc, cmc
+			}
+		}
+	}
+	return kc, mc
 }
 
-// BlockSizes reports the current GEMM cache-blocking extents (KC, MC).
-func BlockSizes() (kc, mc int) { return gemmKC, gemmMC }
-
-func clampBlock(n int) int {
-	if n <= 0 {
-		return 256
-	}
-	if n < blockMin {
-		return blockMin
-	}
-	if n > blockMax {
-		return blockMax
-	}
-	return n
+// gemmTrafficWords is the panel-blocking traffic model gemmBlocks
+// minimizes.
+func gemmTrafficWords(m, k, n, kc, mc int) float64 {
+	mBlocks := float64((m + mc - 1) / mc)
+	kBlocks := float64((k + kc - 1) / kc)
+	return float64(m)*float64(k) + float64(k)*float64(n)*mBlocks + 2*float64(m)*float64(n)*kBlocks
 }
 
-// defaultWorkers is the package-wide parallelism knob; 0 means
-// GOMAXPROCS at call time.
-var defaultWorkers atomic.Int32
-
-// SetWorkers sets the default goroutine count used by the blocked
-// kernels when a call does not specify one. n <= 0 restores the
-// default (GOMAXPROCS).
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int32(n))
-}
-
-// Workers reports the effective default worker count.
-func Workers() int {
-	if w := int(defaultWorkers.Load()); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Workers reports the default worker count: GOMAXPROCS.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // ResolveWorkers maps a per-call workers argument to an effective
-// count: values <= 0 select the package default.
+// count: values <= 0 select Workers().
 func ResolveWorkers(workers int) int {
 	if workers > 0 {
 		return workers
@@ -137,8 +113,7 @@ func parallelChunks(total, workers int, fn func(lo, hi int)) {
 }
 
 // GemmNN computes C = A * B on column-major slices: A is m x k, B is
-// k x n, C is m x n, overwritten. workers <= 0 uses the package
-// default.
+// k x n, C is m x n, overwritten. workers <= 0 uses GOMAXPROCS.
 //
 //repro:hotpath
 func GemmNN(c, a, b []float64, m, k, n, workers int) {
@@ -146,12 +121,13 @@ func GemmNN(c, a, b []float64, m, k, n, workers int) {
 	checkLen("GemmNN", len(a), m*k)
 	checkLen("GemmNN", len(b), k*n)
 	obs.Gemm(m, k, n)
+	kc, mc := gemmBlocks(m, k, n)
 	w := ResolveWorkers(workers)
 	if m*n*k <= gemmSmall {
 		w = 1
 	}
 	if w == 1 {
-		gemmNN(c, a, b, m, k, 0, m, 0, n)
+		gemmNN(c, a, b, m, k, kc, mc, 0, m, 0, n)
 		return
 	}
 	// Prefer disjoint column panels; fall back to row panels when C is
@@ -160,28 +136,29 @@ func GemmNN(c, a, b []float64, m, k, n, workers int) {
 	if n >= 2*w {
 		//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
 		parallelChunks(n, w, func(j0, j1 int) {
-			gemmNN(c, a, b, m, k, 0, m, j0, j1)
+			gemmNN(c, a, b, m, k, kc, mc, 0, m, j0, j1)
 		})
 	} else {
 		//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
 		parallelChunks(m, w, func(i0, i1 int) {
-			gemmNN(c, a, b, m, k, i0, i1, 0, n)
+			gemmNN(c, a, b, m, k, kc, mc, i0, i1, 0, n)
 		})
 	}
 }
 
-// gemmNN computes the C block rows [i0,i1) x columns [j0,j1).
-func gemmNN(c, a, b []float64, m, k, i0, i1, j0, j1 int) {
+// gemmNN computes the C block rows [i0,i1) x columns [j0,j1) with
+// kc x mc cache blocks.
+func gemmNN(c, a, b []float64, m, k, kc, mc, i0, i1, j0, j1 int) {
 	for j := j0; j < j1; j++ {
 		cj := c[j*m : (j+1)*m]
 		for i := i0; i < i1; i++ {
 			cj[i] = 0
 		}
 	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		l1 := min(l0+gemmKC, k)
-		for ib := i0; ib < i1; ib += gemmMC {
-			ie := min(ib+gemmMC, i1)
+	for l0 := 0; l0 < k; l0 += kc {
+		l1 := min(l0+kc, k)
+		for ib := i0; ib < i1; ib += mc {
+			ie := min(ib+mc, i1)
 			gemmNNBlock(c, a, b, m, k, l0, l1, ib, ie, j0, j1)
 		}
 	}
@@ -237,7 +214,7 @@ func gemmNNBlock(c, a, b []float64, m, k, l0, l1, ib, ie, j0, j1 int) {
 // GemmTN computes C = A^T * B on column-major slices: A is m x ka, B
 // is m x n, C is ka x n, overwritten. The contraction runs down the
 // shared (contiguous) row dimension, so both operands stream in unit
-// stride. workers <= 0 uses the package default.
+// stride. workers <= 0 uses GOMAXPROCS.
 //
 //repro:hotpath
 func GemmTN(c, a, b []float64, m, ka, n, workers int) {
@@ -289,8 +266,7 @@ func gemmTN(c, a, b []float64, m, ka, n, i0, i1 int) {
 }
 
 // GemmNT computes C = A * B^T on column-major slices: A is m x k, B is
-// nb x k, C is m x nb, overwritten. workers <= 0 uses the package
-// default.
+// nb x k, C is m x nb, overwritten. workers <= 0 uses GOMAXPROCS.
 //
 //repro:hotpath
 func GemmNT(c, a, b []float64, m, k, nb, workers int) {
@@ -298,33 +274,34 @@ func GemmNT(c, a, b []float64, m, k, nb, workers int) {
 	checkLen("GemmNT", len(a), m*k)
 	checkLen("GemmNT", len(b), nb*k)
 	obs.Gemm(m, k, nb)
+	kc, mc := gemmBlocks(m, k, nb)
 	w := ResolveWorkers(workers)
 	if m*k*nb <= gemmSmall {
 		w = 1
 	}
 	if w == 1 {
-		gemmNT(c, a, b, m, k, nb, 0, nb)
+		gemmNT(c, a, b, m, k, nb, kc, mc, 0, nb)
 		return
 	}
 	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
 	parallelChunks(nb, w, func(j0, j1 int) {
-		gemmNT(c, a, b, m, k, nb, j0, j1)
+		gemmNT(c, a, b, m, k, nb, kc, mc, j0, j1)
 	})
 }
 
-// gemmNT computes C columns [j0,j1); the coefficient tile comes from
-// rows of B (stride nb).
-func gemmNT(c, a, b []float64, m, k, nb, j0, j1 int) {
+// gemmNT computes C columns [j0,j1) with kc x mc cache blocks; the
+// coefficient tile comes from rows of B (stride nb).
+func gemmNT(c, a, b []float64, m, k, nb, kc, mc, j0, j1 int) {
 	for j := j0; j < j1; j++ {
 		cj := c[j*m : (j+1)*m]
 		for i := range cj {
 			cj[i] = 0
 		}
 	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		l1 := min(l0+gemmKC, k)
-		for ib := 0; ib < m; ib += gemmMC {
-			ie := min(ib+gemmMC, m)
+	for l0 := 0; l0 < k; l0 += kc {
+		l1 := min(l0+kc, k)
+		for ib := 0; ib < m; ib += mc {
+			ie := min(ib+mc, m)
 			gemmNTBlock(c, a, b, m, nb, l0, l1, ib, ie, j0, j1)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 
 // Gemm32NN computes C = A * B with a float32 A: A is m x k float32, B
 // is k x n float64, C is m x n float64, overwritten. workers <= 0
-// uses the package default.
+// uses GOMAXPROCS.
 //
 //repro:hotpath
 func Gemm32NN(c []float64, a []float32, b []float64, m, k, n, workers int) {
@@ -24,32 +24,33 @@ func Gemm32NN(c []float64, a []float32, b []float64, m, k, n, workers int) {
 	checkLen("Gemm32NN", len(a), m*k)
 	checkLen("Gemm32NN", len(b), k*n)
 	obs.Gemm(m, k, n)
+	kc, _ := gemmBlocks(m, k, n)
 	w := ResolveWorkers(workers)
 	if m*n*k <= gemmSmall {
 		w = 1
 	}
 	if w == 1 {
-		gemm32NN(c, a, b, m, k, 0, n)
+		gemm32NN(c, a, b, m, k, kc, 0, n)
 		return
 	}
 	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
 	parallelChunks(n, w, func(j0, j1 int) {
-		gemm32NN(c, a, b, m, k, j0, j1)
+		gemm32NN(c, a, b, m, k, kc, j0, j1)
 	})
 }
 
 // gemm32NN fills C columns [j0,j1), cache-blocked over the
-// contraction like gemmNN; the register kernel is the four-source
-// float32 axpy.
-func gemm32NN(c []float64, a []float32, b []float64, m, k, j0, j1 int) {
+// contraction in kc panels like gemmNN; the register kernel is the
+// four-source float32 axpy.
+func gemm32NN(c []float64, a []float32, b []float64, m, k, kc, j0, j1 int) {
 	for j := j0; j < j1; j++ {
 		cj := c[j*m : (j+1)*m]
 		for i := range cj {
 			cj[i] = 0
 		}
 	}
-	for l0 := 0; l0 < k; l0 += gemmKC {
-		l1 := min(l0+gemmKC, k)
+	for l0 := 0; l0 < k; l0 += kc {
+		l1 := min(l0+kc, k)
 		for j := j0; j < j1; j++ {
 			cj := c[j*m : (j+1)*m]
 			bj := b[j*k : j*k+k]
@@ -70,7 +71,7 @@ func gemm32NN(c []float64, a []float32, b []float64, m, k, j0, j1 int) {
 
 // Gemm32TN computes C = A^T * B with a float32 A: A is m x ka
 // float32, B is m x n float64, C is ka x n float64, overwritten.
-// workers <= 0 uses the package default.
+// workers <= 0 uses GOMAXPROCS.
 //
 //repro:hotpath
 func Gemm32TN(c []float64, a []float32, b []float64, m, ka, n, workers int) {

@@ -60,8 +60,8 @@ func naiveNT(a, b *tensor.Matrix) *tensor.Matrix {
 }
 
 // Shapes cross every micro-kernel edge: the 4-wide column and l
-// remainders, single rows/columns, and sizes straddling the gemmKC /
-// gemmMC cache-block boundaries.
+// remainders, single rows/columns, and sizes straddling the default
+// 256-wide cache-block boundaries.
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{3, 5, 7},
@@ -209,20 +209,77 @@ func TestGemmBitwiseAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	SetWorkers(3)
-	if Workers() != 3 {
-		t.Fatalf("Workers() = %d, want 3", Workers())
+// TestGemmBlocksBitwise: the cache blocks move traffic, never the
+// result. gemmNN, gemmNT and gemm32NN must produce the same bits for
+// every power-of-two (kc, mc) candidate within the budget, on fringe
+// shapes (m and k off multiples of 4 and of the blocks), split over 1
+// and 3 workers by columns and (gemmNN) by rows.
+func TestGemmBlocksBitwise(t *testing.T) {
+	shapes := []struct{ m, k, n int }{
+		{5, 9, 6}, {17, 33, 13}, {67, 131, 9}, {130, 259, 7}, {301, 37, 5},
 	}
-	if ResolveWorkers(5) != 5 {
-		t.Fatalf("ResolveWorkers(5) = %d", ResolveWorkers(5))
+	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, s := range shapes {
+			m, k, n := s.m, s.k, s.n
+			a := randMat(rng, m, k).Data()
+			b := randMat(rng, k, n).Data()
+			bt := randMat(rng, n, k).Data()
+			a32 := make([]float32, len(a))
+			for i, v := range a {
+				a32[i] = float32(v)
+			}
+			refNN, refNT, ref32 := make([]float64, m*n), make([]float64, m*n), make([]float64, m*n)
+			gemmNN(refNN, a, b, m, k, 256, 256, 0, m, 0, n)
+			gemmNT(refNT, a, bt, m, k, n, 256, 256, 0, n)
+			gemm32NN(ref32, a32, b, m, k, 256, 0, n)
+			got := make([]float64, m*n)
+			check := func(what string, ref []float64, kc, mc, w int) {
+				t.Helper()
+				for i := range got {
+					if got[i] != ref[i] { //repro:bitwise the blocks must not change a single bit
+						t.Fatalf("%s %dx%dx%d kc=%d mc=%d workers=%d differs at %d on path %s",
+							what, m, k, n, kc, mc, w, i, simd.Path())
+					}
+				}
+			}
+			for kc := 16; kc <= 4096; kc *= 2 {
+				for mc := 16; mc <= 4096 && kc*mc <= gemmBudget; mc *= 2 {
+					for _, w := range []int{1, 3} {
+						parallelChunks(n, w, func(j0, j1 int) { gemmNN(got, a, b, m, k, kc, mc, 0, m, j0, j1) })
+						check("gemmNN/cols", refNN, kc, mc, w)
+						parallelChunks(m, w, func(i0, i1 int) { gemmNN(got, a, b, m, k, kc, mc, i0, i1, 0, n) })
+						check("gemmNN/rows", refNN, kc, mc, w)
+						parallelChunks(n, w, func(j0, j1 int) { gemmNT(got, a, bt, m, k, n, kc, mc, j0, j1) })
+						check("gemmNT", refNT, kc, mc, w)
+						parallelChunks(n, w, func(j0, j1 int) { gemm32NN(got, a32, b, m, k, kc, j0, j1) })
+						check("gemm32NN", ref32, kc, mc, w)
+					}
+				}
+			}
+		}
 	}
-	if ResolveWorkers(0) != 3 {
-		t.Fatalf("ResolveWorkers(0) = %d, want 3", ResolveWorkers(0))
-	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d after reset", Workers())
+	t.Run("dispatch="+simd.Path(), run)
+	restore := simd.ForceScalar()
+	defer restore()
+	t.Run("dispatch=scalar", run)
+}
+
+// TestGemmBlocksRespectBudget: the derived blocks stay powers of two
+// in [16, 4096] (so KC is a multiple of the register unroll) and the
+// A panel stays within the hot-panel budget.
+func TestGemmBlocksRespectBudget(t *testing.T) {
+	for _, s := range []struct{ m, k, n int }{
+		{4096, 1 << 20, 16}, {1 << 20, 16, 16}, {16, 1 << 20, 64}, {100, 200, 8}, {0, 0, 0},
+	} {
+		kc, mc := gemmBlocks(s.m, s.k, s.n)
+		if kc*mc > gemmBudget {
+			t.Errorf("%v: blocks %dx%d exceed the %d-word budget", s, kc, mc, gemmBudget)
+		}
+		for _, b := range []int{kc, mc} {
+			if b < 16 || b > 4096 || b&(b-1) != 0 {
+				t.Errorf("%v: block %d is not a power of two in [16, 4096]", s, b)
+			}
+		}
 	}
 }

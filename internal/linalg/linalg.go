@@ -33,7 +33,7 @@ func MatMulInto(c, a, b *tensor.Matrix) {
 }
 
 // MatMulIntoWorkers is MatMulInto with an explicit goroutine count
-// (<= 0 selects the package default).
+// (<= 0 selects GOMAXPROCS).
 func MatMulIntoWorkers(c, a, b *tensor.Matrix, workers int) {
 	if a.Cols() != b.Rows() || c.Rows() != a.Rows() || c.Cols() != b.Cols() {
 		panic(fmt.Sprintf("linalg: matmul shapes %dx%d * %dx%d -> %dx%d",
@@ -55,7 +55,7 @@ func MatMulTransAInto(c, a, b *tensor.Matrix) {
 }
 
 // MatMulTransAIntoWorkers is MatMulTransAInto with an explicit
-// goroutine count (<= 0 selects the package default).
+// goroutine count (<= 0 selects GOMAXPROCS).
 func MatMulTransAIntoWorkers(c, a, b *tensor.Matrix, workers int) {
 	if a.Rows() != b.Rows() || c.Rows() != a.Cols() || c.Cols() != b.Cols() {
 		panic(fmt.Sprintf("linalg: matmulTransA shapes (%dx%d)^T * %dx%d -> %dx%d",
@@ -77,7 +77,7 @@ func MatMulTransBInto(c, a, b *tensor.Matrix) {
 }
 
 // MatMulTransBIntoWorkers is MatMulTransBInto with an explicit
-// goroutine count (<= 0 selects the package default).
+// goroutine count (<= 0 selects GOMAXPROCS).
 func MatMulTransBIntoWorkers(c, a, b *tensor.Matrix, workers int) {
 	if a.Cols() != b.Cols() || c.Rows() != a.Rows() || c.Cols() != b.Rows() {
 		panic(fmt.Sprintf("linalg: matmulTransB shapes %dx%d * (%dx%d)^T -> %dx%d",

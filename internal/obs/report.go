@@ -69,9 +69,6 @@ type Report struct {
 type PlanInfo struct {
 	Engine           string  `json:"engine"`
 	Workers          int     `json:"workers"`
-	GemmKC           int     `json:"gemm_kc,omitempty"`
-	GemmMC           int     `json:"gemm_mc,omitempty"`
-	Chunks           int     `json:"chunks,omitempty"`
 	PredictedWords   float64 `json:"predicted_words"`
 	PredictedSeconds float64 `json:"predicted_seconds"`
 	CalibrationKey   string  `json:"calibration_key,omitempty"`
@@ -229,12 +226,6 @@ func (r *Report) Format(w io.Writer) {
 	}
 	if p := r.Plan; p != nil {
 		fmt.Fprintf(w, "  plan: engine=%s workers=%d", p.Engine, p.Workers)
-		if p.GemmKC > 0 {
-			fmt.Fprintf(w, " kc=%d mc=%d", p.GemmKC, p.GemmMC)
-		}
-		if p.Chunks > 0 {
-			fmt.Fprintf(w, " chunks=%d", p.Chunks)
-		}
 		fmt.Fprintf(w, " predicted_words=%.4g", p.PredictedWords)
 		if p.PredictedSeconds > 0 {
 			fmt.Fprintf(w, " predicted=%v", time.Duration(p.PredictedSeconds*1e9))

@@ -112,14 +112,14 @@ func TestJoinParBoundsCubical(t *testing.T) {
 func TestPlanInfoSerialization(t *testing.T) {
 	rep := goldenReport()
 	rep.Plan = &PlanInfo{
-		Engine: "tree", Workers: 4, GemmKC: 256, GemmMC: 128,
+		Engine: "tree", Workers: 4,
 		PredictedWords: 1.5e6, PredictedSeconds: 0.002, CalibrationKey: "k",
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"plan"`, `"engine": "tree"`, `"gemm_kc": 256`, `"predicted_words"`} {
+	for _, want := range []string{`"plan"`, `"engine": "tree"`, `"workers": 4`, `"predicted_words"`} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("plan JSON missing %s:\n%s", want, buf.Bytes())
 		}

@@ -28,12 +28,6 @@ import (
 // scheme (and therefore the meaning of the constants) changes.
 const calibrationVersion = 1
 
-// defaultCacheWords is the planner's working-set budget for one hot
-// GEMM panel, in 8-byte words (512 KiB — a typical per-core L2). Cache
-// probing is deliberately out of calibration scope: the block-size
-// pick only needs the order of magnitude.
-const defaultCacheWords = 1 << 16
-
 // EnvCachePath overrides the calibration cache location when set.
 const EnvCachePath = "REPRO_CALIBRATION"
 
@@ -55,8 +49,6 @@ type Calibration struct {
 	ParEff  float64 `json:"par_eff"`  // compute parallel efficiency increment
 	MemEff  float64 `json:"mem_eff"`  // bandwidth parallel efficiency increment
 	SpawnNs float64 `json:"spawn_ns"` // goroutine fan-out + join overhead per parallel section
-
-	CacheWords int `json:"cache_words"` // hot-panel budget for block sizing
 }
 
 // Key returns the cache key identifying the machine configuration a
@@ -118,9 +110,6 @@ func (c *Calibration) validate() error {
 		if !(v > 0) || math.IsInf(v, 0) {
 			return fmt.Errorf("non-positive rate %s = %g", name, v)
 		}
-	}
-	if c.CacheWords < 1<<10 {
-		return fmt.Errorf("implausible cache budget %d words", c.CacheWords)
 	}
 	return nil
 }
@@ -207,7 +196,6 @@ func Default() *Calibration {
 		ParEff:       0.7,
 		MemEff:       0.25,
 		SpawnNs:      5000,
-		CacheWords:   defaultCacheWords,
 	}
 }
 

@@ -43,7 +43,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // TestLoadRejectsCorruptCache: every cache defect must surface as a
 // Load error (so LoadOrMeasure silently re-calibrates) — never a
-// crash, never a garbage calibration accepted as valid.
+// crash, never a garbage calibration accepted as valid. A cache that
+// still carries the retired "cache_words" field is not a defect: it
+// loads as is, without re-measuring.
 func TestLoadRejectsCorruptCache(t *testing.T) {
 	dir := t.TempDir()
 	good := Measure()
@@ -64,22 +66,37 @@ func TestLoadRejectsCorruptCache(t *testing.T) {
 	negRate.FlopsSIMD = -1
 	negRateJSON, _ := json.Marshal(&negRate)
 
+	legacyJSON := append([]byte(`{"cache_words": 65536, `), goodJSON[1:]...)
+
 	cases := []struct {
-		name string
-		data []byte
+		name  string
+		data  []byte
+		valid bool
 	}{
-		{"truncated", goodJSON[:len(goodJSON)/2]},
-		{"empty", nil},
-		{"not-json", []byte("plain text, not a calibration")},
-		{"wrong-cpu-key", staleJSON},
-		{"wrong-version", wrongVerJSON},
-		{"negative-rate", negRateJSON},
+		{"truncated", goodJSON[:len(goodJSON)/2], false},
+		{"empty", nil, false},
+		{"not-json", []byte("plain text, not a calibration"), false},
+		{"wrong-cpu-key", staleJSON, false},
+		{"wrong-version", wrongVerJSON, false},
+		{"negative-rate", negRateJSON, false},
+		{"legacy-cache-words", legacyJSON, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(dir, tc.name+".json")
 			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if tc.valid {
+				if c, err := Load(path); err != nil {
+					t.Fatalf("Load rejected a %s cache: %v", tc.name, err)
+				} else if *c != *good { //repro:bitwise a valid cache must load its stored constants verbatim
+					t.Fatalf("Load changed the %s cache:\nstored %+v\nloaded %+v", tc.name, good, c)
+				}
+				if c := LoadOrMeasure(path); *c != *good { //repro:bitwise a cache hit must not re-measure
+					t.Fatalf("LoadOrMeasure re-measured a valid %s cache", tc.name)
+				}
+				return
 			}
 			if _, err := Load(path); err == nil {
 				t.Fatalf("Load accepted a %s cache", tc.name)

@@ -2,15 +2,15 @@
 // interface that every local MTTKRP engine implements (dense
 // KRP-splitting kernel, f32 kernel, dimension tree, sparse CSF, sparse
 // COO), and a planner that — given a problem descriptor — picks the
-// engine, worker count, and GEMM/tile block sizes by evaluating
-// internal/costmodel streaming formulas against machine constants
-// measured once at startup and cached to disk (see calibrate.go).
+// engine and worker count by evaluating internal/costmodel streaming
+// formulas against machine constants measured once at startup and
+// cached to disk (see calibrate.go).
 //
-// Determinism contract: a Choice's block sizes and chunk counts depend
-// only on the problem shape and the calibration constants — never on
-// the worker count — so applying a plan preserves the repository's
-// bitwise worker-count-independence guarantee. Two runs of the same
-// problem against the same calibration file produce identical plans.
+// Determinism contract: a Choice is a plain value. Two runs of the
+// same problem against the same calibration file produce identical
+// plans, the engines' results are bitwise independent of the chosen
+// worker count, and runs with different plans can share a process
+// concurrently.
 package plan
 
 import (
@@ -20,7 +20,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dimtree"
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/sparse"
@@ -66,7 +65,7 @@ type Problem struct {
 	NNZ   int64
 	DType DType
 	// MaxWorkers caps the planner's worker search; 0 means
-	// linalg.Workers() (the package default, normally GOMAXPROCS).
+	// GOMAXPROCS.
 	MaxWorkers int
 	// Reuses is the expected number of passes over the same tensor with
 	// the same plan (CP-ALS sets iterations x modes); 0 means 1.
@@ -156,37 +155,20 @@ type Cost struct {
 }
 
 // Choice is the planner's output: which engine to run, at how many
-// workers, with which tunables, and what the cost model predicted.
-// GemmKC/GemmMC and Chunks are derived from the shape and calibration
-// only — applying them cannot perturb worker-count independence.
+// workers, and what the cost model predicted.
 type Choice struct {
 	Engine    string `json:"engine"`
 	Workers   int    `json:"workers"`
-	GemmKC    int    `json:"gemm_kc"`
-	GemmMC    int    `json:"gemm_mc"`
-	Chunks    int    `json:"chunks"`
 	Predicted Cost   `json:"predicted"`
 	CalKey    string `json:"cal_key"`
 }
 
-// Apply installs the choice's tunables into the packages that own
-// them, and records the decision as a flight-recorder instant so
-// traces carry the plan that shaped them. Call once per process before
-// the hot loop, not inside it.
+// Apply records the decision as a flight-recorder instant so traces
+// carry the plan that shaped them. It sets no state the engines read.
 func (c Choice) Apply() {
-	if c.GemmKC > 0 && c.GemmMC > 0 {
-		// linalg clamps; the planner already keeps candidates in range.
-		linalg.SetBlockSizes(c.GemmKC, c.GemmMC)
-	}
-	if c.Chunks > 0 {
-		sparse.SetChunks(c.Chunks)
-	}
 	flight.Rec().ColdInstant("plan", map[string]string{
 		"engine":  c.Engine,
 		"workers": strconv.Itoa(c.Workers),
-		"gemm_kc": strconv.Itoa(c.GemmKC),
-		"gemm_mc": strconv.Itoa(c.GemmMC),
-		"chunks":  strconv.Itoa(c.Chunks),
 		"cal_key": c.CalKey,
 	})
 }
@@ -196,9 +178,6 @@ func (c Choice) PlanInfo() *obs.PlanInfo {
 	return &obs.PlanInfo{
 		Engine:           c.Engine,
 		Workers:          c.Workers,
-		GemmKC:           c.GemmKC,
-		GemmMC:           c.GemmMC,
-		Chunks:           c.Chunks,
 		PredictedWords:   c.Predicted.Words,
 		PredictedSeconds: c.Predicted.Seconds,
 		CalibrationKey:   c.CalKey,

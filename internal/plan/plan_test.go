@@ -1,11 +1,11 @@
 package plan
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/dimtree"
 	"repro/internal/kernel"
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
 	"repro/internal/ttm"
@@ -26,7 +26,6 @@ func testCal() *Calibration {
 		ParEff:       0.8,
 		MemEff:       0.3,
 		SpawnNs:      20000,
-		CacheWords:   1 << 16,
 	}
 }
 
@@ -43,36 +42,6 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 	if a != b { //repro:bitwise the determinism contract under test: identical plans, floats included
 		t.Errorf("same problem, same calibration, different plans:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestPlanTunablesIndependentOfWorkers: the bitwise worker-count-
-// independence guarantee requires that block sizes and chunk counts
-// never vary with the worker budget.
-func TestPlanTunablesIndependentOfWorkers(t *testing.T) {
-	shapes := []Problem{
-		{Dims: []int{128, 128, 128}, R: 16, Mode: AllModes},
-		{Dims: []int{1024, 16, 16}, R: 16, Mode: 0},
-		{Dims: []int{256, 256, 256}, R: 16, Mode: 0, NNZ: 1 << 20},
-	}
-	cal := testCal()
-	for _, p := range shapes {
-		var kc0, mc0, ch0 int
-		for i, w := range []int{1, 2, 3, 8} {
-			p.MaxWorkers = w
-			c, err := Plan(p, cal)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				kc0, mc0, ch0 = c.GemmKC, c.GemmMC, c.Chunks
-				continue
-			}
-			if c.GemmKC != kc0 || c.GemmMC != mc0 || c.Chunks != ch0 {
-				t.Errorf("dims %v: tunables vary with MaxWorkers=%d: kc/mc/chunks %d/%d/%d vs %d/%d/%d",
-					p.Dims, w, c.GemmKC, c.GemmMC, c.Chunks, kc0, mc0, ch0)
-			}
-		}
 	}
 }
 
@@ -97,44 +66,12 @@ func TestPlanSmallShapeCutover(t *testing.T) {
 	}
 }
 
-func TestPlanGEMMRespectsBudget(t *testing.T) {
-	cal := testCal()
-	kc, mc := PlanGEMM(4096, 1<<20, 16, cal)
-	if kc*mc > cal.CacheWords {
-		t.Errorf("blocks %dx%d exceed the %d-word budget", kc, mc, cal.CacheWords)
-	}
-	if kc < 16 || mc < 16 {
-		t.Errorf("blocks %dx%d below the kernel minimum", kc, mc)
-	}
-}
-
-func TestChoiceApply(t *testing.T) {
-	kc0, mc0 := linalg.BlockSizes()
-	ch0 := sparse.Chunks()
-	defer func() {
-		linalg.SetBlockSizes(kc0, mc0)
-		sparse.SetChunks(ch0)
-	}()
-	Choice{GemmKC: 128, GemmMC: 512, Chunks: 64}.Apply()
-	if kc, mc := linalg.BlockSizes(); kc != 128 || mc != 512 {
-		t.Errorf("Apply left blocks at %dx%d", kc, mc)
-	}
-	if sparse.Chunks() != 64 {
-		t.Errorf("Apply left chunks at %d", sparse.Chunks())
-	}
-	// Zero fields leave the installed values untouched.
-	Choice{}.Apply()
-	if kc, mc := linalg.BlockSizes(); kc != 128 || mc != 512 {
-		t.Errorf("zero Choice reset blocks to %dx%d", kc, mc)
-	}
-}
-
 func TestPlanInfoRoundTrip(t *testing.T) {
-	c := Choice{Engine: "tree", Workers: 4, GemmKC: 256, GemmMC: 128, Chunks: 32,
+	c := Choice{Engine: "tree", Workers: 4,
 		Predicted: Cost{Words: 100, Flops: 200, Seconds: 0.5}, CalKey: "k"}
 	pi := c.PlanInfo()
-	if pi.Engine != "tree" || pi.Workers != 4 || pi.GemmKC != 256 || pi.GemmMC != 128 ||
-		pi.Chunks != 32 || pi.PredictedWords != 100 || pi.PredictedSeconds != 0.5 || pi.CalibrationKey != "k" { //repro:bitwise exact copy check on constants
+	if pi.Engine != "tree" || pi.Workers != 4 ||
+		pi.PredictedWords != 100 || pi.PredictedSeconds != 0.5 || pi.CalibrationKey != "k" { //repro:bitwise exact copy check on constants
 		t.Errorf("PlanInfo dropped fields: %+v", pi)
 	}
 }
@@ -445,5 +382,96 @@ func TestEnginesRegistry(t *testing.T) {
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("Lookup found a nonexistent engine")
+	}
+}
+
+// TestConcurrentPlans: a plan is a value. Three goroutines each plan,
+// Apply, Prepare and Run a different problem at once — a dense
+// all-modes tree, a dense single-mode fast kernel, and a sparse CSF
+// walk — and every output must be bitwise equal to the same problem
+// run alone. Under -race this also checks that no plan writes state
+// another run reads.
+func TestConcurrentPlans(t *testing.T) {
+	denseInst := func(dims []int, R int) func() *Instance {
+		w, err := workload.Generate(workload.Spec{Dims: dims, R: R, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() *Instance { return &Instance{X: w.X, Factors: w.Factors} }
+	}
+	sdims := []int{60, 50, 40}
+	coo := sparse.Random(19, 3000, sdims...)
+	sfs := tensor.RandomFactors(23, sdims, 8)
+	jobs := []struct {
+		engine string
+		p      Problem
+		inst   func() *Instance
+	}{
+		{"tree", Problem{Dims: []int{40, 36, 32}, R: 8, Mode: AllModes, MaxWorkers: 3},
+			denseInst([]int{40, 36, 32}, 8)},
+		{"fast", Problem{Dims: []int{300, 40, 30}, R: 16, Mode: 0, MaxWorkers: 3},
+			denseInst([]int{300, 40, 30}, 16)},
+		{"csf", Problem{Dims: sdims, R: 8, Mode: 1, NNZ: 3000, MaxWorkers: 3},
+			func() *Instance { return &Instance{COO: coo, Factors: sfs} }},
+	}
+	// run plans and executes job i, returning a copy of its output.
+	run := func(i int) ([]float64, error) {
+		j := jobs[i]
+		c, err := PlanEngine(j.engine, j.p, testCal())
+		if err != nil {
+			return nil, err
+		}
+		c.Apply()
+		e, _ := Lookup(c.Engine)
+		inst := j.inst()
+		if err := e.Prepare(j.p, inst); err != nil {
+			return nil, err
+		}
+		var res Result
+		e.Run(j.p, inst, &res, c.Workers)
+		if inst.sws != nil {
+			inst.sws.Release()
+		}
+		var out []float64
+		if res.B != nil {
+			out = append(out, res.B.Data()...)
+		}
+		for _, m := range res.All {
+			out = append(out, m.Data()...)
+		}
+		return out, nil
+	}
+
+	alone := make([][]float64, len(jobs))
+	for i := range jobs {
+		out, err := run(i)
+		if err != nil {
+			t.Fatalf("%s alone: %v", jobs[i].engine, err)
+		}
+		alone[i] = out
+	}
+	together := make([][]float64, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			together[i], errs[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("%s concurrent: %v", j.engine, errs[i])
+		}
+		if len(together[i]) != len(alone[i]) || len(alone[i]) == 0 {
+			t.Fatalf("%s: output length %d concurrent vs %d alone", j.engine, len(together[i]), len(alone[i]))
+		}
+		for k := range alone[i] {
+			if together[i][k] != alone[i][k] { //repro:bitwise a concurrent run must reproduce the solo run exactly
+				t.Fatalf("%s: element %d differs: %g concurrent vs %g alone", j.engine, k, together[i][k], alone[i][k])
+			}
+		}
 	}
 }

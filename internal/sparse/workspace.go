@@ -97,7 +97,7 @@ func growf(s []float64, n int) []float64 {
 //repro:ignore hotpath-alloc pool spawn: allocates only while the pool still grows
 func (ws *Workspace) ensurePool(workers int) {
 	if ws.start == nil {
-		ws.start = make(chan int, csfChunks)
+		ws.start = make(chan int, workers)
 	}
 	for ws.spawned < workers-1 {
 		ws.spawned++
