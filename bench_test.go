@@ -735,7 +735,6 @@ func BenchmarkSparseMTTKRPEngines(b *testing.B) {
 				t.AllModesInto(outs, fs, 0, ws)
 			}
 		})
-		ws.Release()
 	}
 	b.Run("dense-fast", func(b *testing.B) {
 		x := tensor.RandomDense(79, dims...)

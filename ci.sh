@@ -9,8 +9,9 @@
 # goroutine-parallel accumulation and tree reductions (kernel, seq,
 # par, dimtree, cpals — including the float32 storage-path kernels in
 # kernel and sparse) plus the blocked linear algebra and sparse layers
-# they fan out into, then the bitwise worker-independence tests at
-# GOMAXPROCS 1, 2 and 4.
+# they fan out into and the fan-out primitive itself, then the bitwise
+# worker-independence tests at GOMAXPROCS 1, 2 and 4 and the allocation
+# guards at GOMAXPROCS 1 and 2.
 #
 # Usage: ./ci.sh
 set -eu
@@ -52,17 +53,23 @@ REPRO_NOSIMD=1 go test ./...
 echo "== go test -tags purego (simd + engine packages) =="
 # Same contract for the compile-time opt-out on the layers that call
 # the kernels.
-go test -tags purego ./internal/simd/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/...
+go test -tags purego ./internal/simd/... ./internal/fanout/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/...
 
 echo "== go test -race (engine packages) =="
-go test -race ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...
+go test -race ./internal/fanout/... ./internal/kernel/... ./internal/seq/... ./internal/par/... ./internal/dimtree/... ./internal/cpals/... ./internal/sparse/... ./internal/linalg/... ./internal/obs/... ./internal/comm/... ./internal/plan/... ./internal/ttm/... ./internal/tucker/...
 
 echo "== go test -cpu 1,2,4 (bitwise worker independence) =="
 # The bitwise worker-count-independence tests again at GOMAXPROCS 1, 2
 # and 4, so the default worker count (GOMAXPROCS) varies too.
 go test -count=1 -cpu 1,2,4 \
-	-run '^(TestGemmBitwiseAcrossWorkers|TestGemmBlocksBitwise|TestCSFWorkerBitwise|TestFastWorkersEquivalence|TestReduceTreeBitwiseAcrossWorkerCounts|TestEngine.*Worker.*|TestAdapterWorkerIndependence|TestConcurrentPlans)$' \
-	./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/...
+	-run '^(TestQueueRunsEachChunkOnce|TestSplitRanges|TestGemmBitwiseAcrossWorkers|TestGemmBlocksBitwise|TestCSFWorkerBitwise|TestFastWorkersEquivalence|TestReduceTreeBitwiseAcrossWorkerCounts|TestEngine.*Worker.*|TestAdapterWorkerIndependence|TestConcurrentPlans)$' \
+	./internal/fanout/... ./internal/linalg/... ./internal/kernel/... ./internal/sparse/... ./internal/dimtree/... ./internal/ttm/... ./internal/plan/...
+
+echo "== go test -cpu 1,2 (allocation guards) =="
+# The steady-state allocation guards again at GOMAXPROCS 1 and 2: a
+# one-worker pass allocates nothing and a multi-worker pass at most
+# fanout.AllocBound per fan-out, whatever GOMAXPROCS is.
+go test -count=1 -cpu 1,2 -run 'ZeroAlloc|AllocFree|^TestFanoutAllocs$' ./...
 
 echo "== instrumented smoke (obs bound ratios) =="
 # The blocked algorithm must land within a small constant of the best

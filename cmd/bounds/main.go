@@ -12,29 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/bounds"
 	"repro/internal/costmodel"
 	"repro/internal/seq"
+	"repro/internal/workload"
 )
-
-func parseDims(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("need at least 2 comma-separated dimensions, got %q", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension %q", p)
-		}
-		dims[i] = v
-	}
-	return dims, nil
-}
 
 func main() {
 	dimsFlag := flag.String("dims", "64,64,64", "tensor dimensions, comma separated")
@@ -45,7 +28,7 @@ func main() {
 	delta := flag.Float64("delta", 1, "factor-matrix load-balance factor (>= 1)")
 	flag.Parse()
 
-	dims, err := parseDims(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 2)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bounds:", err)
 		os.Exit(2)

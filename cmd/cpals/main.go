@@ -21,8 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/cpals"
 	"repro/internal/dimtree"
@@ -52,7 +50,7 @@ func main() {
 		fatal(fmt.Errorf("unknown -engine %q (want auto, independent, or tree)", *engine))
 	}
 
-	dims, err := parseInts(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,7 +60,7 @@ func main() {
 	if *traceOut != "" {
 		ranks := 0
 		if *gridFlag != "" {
-			shape, err := parseInts(*gridFlag)
+			shape, err := workload.ParseInts(*gridFlag, 1)
 			if err != nil {
 				fatal(err)
 			}
@@ -162,7 +160,7 @@ func main() {
 		fatal(fmt.Errorf("-engine %s applies to the sequential solver only (drop -grid)", *engine))
 	}
 
-	shape, err := parseInts(*gridFlag)
+	shape, err := workload.ParseInts(*gridFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
@@ -217,19 +215,6 @@ func printTrace(trace []cpals.TraceEntry) {
 	for _, e := range trace {
 		fmt.Printf("  iter %3d  fit %.8f\n", e.Iter, e.Fit)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func fatal(err error) {

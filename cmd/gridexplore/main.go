@@ -14,11 +14,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/costmodel"
 	"repro/internal/grid"
+	"repro/internal/workload"
 )
 
 type row struct {
@@ -36,7 +35,7 @@ func main() {
 	top := flag.Int("top", 12, "show the best and worst k grids")
 	flag.Parse()
 
-	dims, err := parseInts(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
@@ -113,19 +112,6 @@ func main() {
 func printRow(r row) {
 	// fmt applies widths elementwise to slices; stringify first.
 	fmt.Printf("%-20s %-14.5g %-10.0f %-12.5g\n", fmt.Sprint(r.shape), r.words, r.msgs, r.mem)
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bounds"
@@ -55,7 +53,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a flight-recorder Chrome trace (JSON) to this path")
 	flag.Parse()
 
-	dims, err := parseDims(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 2)
 	if err != nil {
 		fatal(err)
 	}
@@ -353,22 +351,6 @@ func finishObs(rep *obs.Report, algo string, human bool, jsonPath string, maxRat
 	}
 	fmt.Printf("obs gate: measured/%s = %.3f within [%g, %g]\n", best, ratio,
 		minRatio, maxRatio)
-}
-
-func parseDims(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("need at least 2 dimensions, got %q", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension %q", p)
-		}
-		dims[i] = v
-	}
-	return dims, nil
 }
 
 func check(ok bool) {

@@ -19,8 +19,7 @@
 //	/metrics       Prometheus text exposition (version 0.0.4)
 //	/healthz       liveness probe ("ok")
 //	/report        current obs report joined against the Thm 4.1 bound
-//	/spans         the span ring (most recent ringCap phase spans)
-//	/reset         zero the collector (counters, phases, ring)
+//	/reset         zero the collector (counters and phase totals)
 //	/debug/pprof/  net/http/pprof profiles
 //
 // Usage:
@@ -32,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -42,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/trace"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -71,7 +68,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "workload seed")
 	flag.Parse()
 
-	dims, err := parseDims(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 2)
 	if err != nil {
 		fatal(err)
 	}
@@ -160,14 +157,6 @@ func main() {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/spans", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(col.Spans()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/reset", func(w http.ResponseWriter, req *http.Request) {
 		col.Reset()
 		fmt.Fprintln(w, "collector reset")
@@ -182,7 +171,7 @@ func main() {
 	srv := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	fmt.Printf("obsserve: %s workload dims=%v R=%d on http://%s (/metrics /healthz /report /spans /reset /debug/pprof/)\n",
+	fmt.Printf("obsserve: %s workload dims=%v R=%d on http://%s (/metrics /healthz /report /reset /debug/pprof/)\n",
 		*algo, dims, *r, ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -300,22 +289,6 @@ func get(url string) (string, error) {
 		return "", fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
 	return string(b), nil
-}
-
-func parseDims(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("need at least 2 dimensions, got %q", s)
-	}
-	dims := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad dimension %q", p)
-		}
-		dims[i] = v
-	}
-	return dims, nil
 }
 
 func fatal(err error) {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/pebble"
 	"repro/internal/seq"
 	"repro/internal/tensor"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 	budget := flag.Int("budget", 50_000_000, "state-exploration budget")
 	flag.Parse()
 
-	dims, err := parseInts(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
@@ -63,19 +64,6 @@ func main() {
 		}
 		fmt.Printf("%-6d %-14.4g %-8d %-10s %s\n", M, lb, opt, alg2, status)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func fatal(err error) {

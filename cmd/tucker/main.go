@@ -13,14 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/plan"
 	"repro/internal/tensor"
 	"repro/internal/tucker"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -36,11 +35,11 @@ func main() {
 	traceOut := flag.String("trace", "", "write a flight-recorder Chrome trace (JSON) to this path")
 	flag.Parse()
 
-	dims, err := parseInts(*dimsFlag)
+	dims, err := workload.ParseInts(*dimsFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
-	ranks, err := parseInts(*ranksFlag)
+	ranks, err := workload.ParseInts(*ranksFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
@@ -53,7 +52,7 @@ func main() {
 	if *traceOut != "" {
 		procs := 0
 		if *gridFlag != "" {
-			shape, err := parseInts(*gridFlag)
+			shape, err := workload.ParseInts(*gridFlag, 1)
 			if err != nil {
 				fatal(err)
 			}
@@ -153,7 +152,7 @@ func main() {
 		return
 	}
 
-	shape, err := parseInts(*gridFlag)
+	shape, err := workload.ParseInts(*gridFlag, 1)
 	if err != nil {
 		fatal(err)
 	}
@@ -206,19 +205,6 @@ func emitReport(rep *obs.Report, human bool, jsonPath string) {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-}
-
-func parseInts(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad integer %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 func fatal(err error) {

@@ -39,9 +39,9 @@ import (
 //	    On a `go` statement's line (or the line above), or on the
 //	    spawning function's doc comment: the spawned goroutines are a
 //	    parked worker pool by design — they outlive the spawning call
-//	    and wake on tokens (e.g. internal/sparse's token-woken CSF
-//	    pool). Exempts the goroutine-leak analyzer's join requirement
-//	    and sanctions pooled-workspace capture by the pool's workers.
+//	    and wake on tokens. Exempts the goroutine-leak analyzer's join
+//	    requirement and sanctions pooled-workspace capture by the
+//	    pool's workers.
 //
 //	//repro:besteffort [justification]
 //	    On a statement's line (or the line above), or on a function's

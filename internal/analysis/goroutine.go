@@ -13,7 +13,7 @@ package analysis
 // receive case). Objects are matched through the SSA-lite layer:
 // cross-unit identity by declaration position, and call-argument to
 // parameter aliasing one interprocedural hop at a time, so
-// `go poolWorker(ws, ws.start)` is matched against joins on the same
+// `go worker(ws, ws.start)` is matched against joins on the same
 // `start` field wherever the BFS can see them.
 //
 // Deliberately-unjoined goroutines come in two sanctioned flavors:

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -239,7 +240,17 @@ func (e *Engine) contractPartExtents(out, part []float64, factors []*tensor.Matr
 		// zero-alloc contract covers) allocates nothing.
 		partialRanks(out, part, kl, kr, e.tmp, Lp, Mp, Rtp, 0, R)
 	} else {
-		partialRanksParallel(out, part, kl, kr, e.tmp, Lp, Mp, Rtp, R, workers)
+		// Fresh copies, captured by value: the closure would otherwise
+		// move the reassigned kl/kr to the heap on the serial path too.
+		kl, kr := kl, kr
+		//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+		fanout.Split(R, workers, func(w, lo, hi int) {
+			var wtmp []float64
+			if kl != nil && kr != nil {
+				wtmp = e.tmp[w*Mp : (w+1)*Mp]
+			}
+			partialRanks(out, part, kl, kr, wtmp, Lp, Mp, Rtp, lo, hi)
+		})
 	}
 	fl += 2 * int64(S) * int64(R)
 	if kl != nil && kr != nil {
@@ -441,27 +452,4 @@ func partialRanks(out, part, kl, kr, tmp []float64, Lp, Mp, Rtp, r0, r1 int) {
 			}
 		}
 	}
-}
-
-// partialRanksParallel splits the ranks into contiguous chunks across
-// `workers` goroutines, each with its own scratch column from tmp. A
-// separate function so its closure never taxes the serial path.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func partialRanksParallel(out, part, kl, kr, tmp []float64, Lp, Mp, Rtp, R, workers int) {
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * R / workers
-		hi := (w + 1) * R / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var wtmp []float64
-			if kl != nil && kr != nil {
-				wtmp = tmp[w*Mp : (w+1)*Mp]
-			}
-			partialRanks(out, part, kl, kr, wtmp, Lp, Mp, Rtp, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

@@ -11,9 +11,8 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/simd"
@@ -83,10 +82,7 @@ func Fast32Into(b *tensor.Matrix32, x *tensor.Dense32, factors []*tensor.Matrix3
 // interior32 mirrors interior with a float32 tensor stream: same
 // fixed chunk tiling, same ReduceTree association, float64 buckets.
 func interior32(out []float64, data []float32, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspace) {
-	nbuf := interiorChunks
-	if nbuf > Rt {
-		nbuf = Rt
-	}
+	nbuf := min(interiorChunks, Rt)
 	MR := M * R
 	out = out[:MR]
 	for i := range out {
@@ -104,6 +100,7 @@ func interior32(out []float64, data []float32, kl, kr []float64, L, M, Rt, R, wo
 	for c := 1; c < nbuf; c++ {
 		bufs = append(bufs, priv[(c-1)*MR:c*MR]) //repro:ignore hotpath-alloc appends within capacity ensured by ensureScratch
 	}
+	ws.bufs = bufs
 	if workers > nbuf {
 		workers = nbuf
 	}
@@ -112,34 +109,13 @@ func interior32(out []float64, data []float32, kl, kr []float64, L, M, Rt, R, wo
 			interiorSlabs32(bufs[c], ws.scratch[:MR], data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
 		}
 	} else {
-		interiorParallel32(bufs, ws.scratch, data, kl, kr, L, M, Rt, R, nbuf, workers)
+		//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+		fanout.Queue(nbuf, workers, func(w, c int) {
+			interiorSlabs32(ws.bufs[c], ws.scratch[w*MR:(w+1)*MR], data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
+		})
 	}
 	ReduceTree(bufs, workers)
 	ws.bufs = bufs[:0]
-}
-
-// interiorParallel32 is interiorParallel over a float32 tensor.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func interiorParallel32(bufs [][]float64, scratch []float64, data []float32, kl, kr []float64, L, M, Rt, R, nbuf, workers int) {
-	MR := M * R
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			wbuf := scratch[w*MR : (w+1)*MR]
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nbuf {
-					return
-				}
-				interiorSlabs32(bufs[c], wbuf, data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // interiorSlabs32 accumulates slabs [t0, t1) into acc (In x R) with a

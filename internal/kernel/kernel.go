@@ -33,9 +33,8 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -175,10 +174,7 @@ const interiorChunks = 16
 // out's storage), workers drain the chunk queue, and the buckets
 // combine by tree reduction.
 func interior(out, data, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspace) {
-	nbuf := interiorChunks
-	if nbuf > Rt {
-		nbuf = Rt
-	}
+	nbuf := min(interiorChunks, Rt)
 	MR := M * R
 	out = out[:MR]
 	for i := range out {
@@ -199,6 +195,7 @@ func interior(out, data, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspa
 	for c := 1; c < nbuf; c++ {
 		bufs = append(bufs, priv[(c-1)*MR:c*MR]) //repro:ignore hotpath-alloc appends within capacity ensured by ensureScratch
 	}
+	ws.bufs = bufs
 	if workers > nbuf {
 		workers = nbuf
 	}
@@ -210,42 +207,21 @@ func interior(out, data, kl, kr []float64, L, M, Rt, R, workers int, ws *Workspa
 			fr.End(flight.AnonPid, 0, slabName)
 		}
 	} else {
-		// A separate function so the goroutine closure's captures don't
-		// force bufs/nbuf onto the heap in the serial path above.
-		interiorParallel(bufs, ws.scratch, data, kl, kr, L, M, Rt, R, nbuf, workers)
+		// Chunk c always covers slabs [c*Rt/nbuf, (c+1)*Rt/nbuf) and
+		// accumulates into bucket c, whichever worker claims it; each
+		// worker writes through its own GEMM scratch. The closure
+		// reads the buckets through ws, so the serial path above
+		// keeps bufs off the heap.
+		//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+		fanout.Queue(nbuf, workers, func(w, c int) {
+			fr := flight.Rec()
+			fr.Begin(flight.AnonPid, w, slabName)
+			interiorSlabs(ws.bufs[c], ws.scratch[w*MR:(w+1)*MR], data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
+			fr.End(flight.AnonPid, w, slabName)
+		})
 	}
 	ReduceTree(bufs, workers)
 	ws.bufs = bufs[:0]
-}
-
-// interiorParallel drains the fixed chunk queue with `workers`
-// goroutines, each writing through its own GEMM scratch. Chunk c
-// always covers slabs [c*Rt/nbuf, (c+1)*Rt/nbuf) and accumulates into
-// bufs[c] regardless of which worker claims it.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func interiorParallel(bufs [][]float64, scratch, data, kl, kr []float64, L, M, Rt, R, nbuf, workers int) {
-	MR := M * R
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fr := flight.Rec()
-			wbuf := scratch[w*MR : (w+1)*MR]
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nbuf {
-					return
-				}
-				fr.Begin(flight.AnonPid, w, slabName)
-				interiorSlabs(bufs[c], wbuf, data, kl, kr, L, M, Rt, R, c*Rt/nbuf, (c+1)*Rt/nbuf)
-				fr.End(flight.AnonPid, w, slabName)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // interiorSlabs accumulates slabs [t0, t1) into acc (In x R).

@@ -1,8 +1,7 @@
 package kernel
 
 import (
-	"sync"
-
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
@@ -40,23 +39,25 @@ func ReduceTree(bufs [][]float64, workers int) {
 			}
 			continue
 		}
-		segs := (workers + npairs - 1) / npairs
-		seglen := (n + segs - 1) / segs
-		var wg sync.WaitGroup
-		for i := 0; i+stride < m; i += step {
-			dst, src := bufs[i], bufs[i+stride]
-			for lo := 0; lo < n; lo += seglen {
-				hi := min(lo+seglen, n)
-				wg.Add(1)
-				//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-				go func(dst, src []float64) {
-					defer wg.Done()
-					addInto(dst, src)
-				}(dst[lo:hi], src[lo:hi])
-			}
-		}
-		wg.Wait()
+		//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+		reduceRound(bufs, stride, npairs, workers)
 	}
+}
+
+// reduceRound runs one ReduceTree round across workers: npairs adds
+// of bufs[i+stride] into bufs[i], each cut into contiguous segments
+// so that there are about as many pieces as workers.
+func reduceRound(bufs [][]float64, stride, npairs, workers int) {
+	n := len(bufs[0])
+	segs := (workers + npairs - 1) / npairs
+	seglen := (n + segs - 1) / segs
+	nseg := (n + seglen - 1) / seglen
+	fanout.Queue(npairs*nseg, workers, func(_, c int) {
+		i := c / nseg * 2 * stride
+		lo := c % nseg * seglen
+		hi := min(lo+seglen, n)
+		addInto(bufs[i][lo:hi], bufs[i+stride][lo:hi])
+	})
 }
 
 func addInto(dst, src []float64) {
@@ -64,27 +65,4 @@ func addInto(dst, src []float64) {
 	for i, v := range src {
 		dst[i] += v
 	}
-}
-
-// parallelChunks splits [0, total) into at most `workers` contiguous
-// chunks and runs fn on each concurrently; workers == 1 runs inline.
-func parallelChunks(total, workers int, fn func(w, lo, hi int)) {
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		fn(0, 0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * total / workers
-		hi := (w + 1) * total / workers
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }

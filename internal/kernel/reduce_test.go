@@ -92,21 +92,24 @@ func TestReduceTreeWorkersExceedBuffers(t *testing.T) {
 
 func TestReduceTreeBitwiseAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n = 1 << 14 // past the serial cutoff so parallel paths engage
-	for _, m := range []int{2, 5, 8} {
-		base := randomBufs(rng, m, n)
-		var first []float64
-		for _, workers := range []int{1, 2, 3, 7, 16} {
-			bufs := cloneBufs(base)
-			kernel.ReduceTree(bufs, workers)
-			if first == nil {
-				first = bufs[0]
-				continue
-			}
-			for j := range first {
-				if bufs[0][j] != first[j] { //repro:bitwise reduction must be bitwise reproducible across worker counts
-					t.Fatalf("m=%d workers=%d: bufs[0][%d] = %v, want %v",
-						m, workers, j, bufs[0][j], first[j])
+	// Past the serial cutoff so parallel paths engage; the odd length
+	// leaves a short last segment.
+	for _, n := range []int{1 << 14, 1<<14 + 3} {
+		for _, m := range []int{2, 5, 8} {
+			base := randomBufs(rng, m, n)
+			var first []float64
+			for _, workers := range []int{1, 2, 3, 7, 16} {
+				bufs := cloneBufs(base)
+				kernel.ReduceTree(bufs, workers)
+				if first == nil {
+					first = bufs[0]
+					continue
+				}
+				for j := range first {
+					if bufs[0][j] != first[j] { //repro:bitwise reduction must be bitwise reproducible across worker counts
+						t.Fatalf("n=%d m=%d workers=%d: bufs[0][%d] = %v, want %v",
+							n, m, workers, j, bufs[0][j], first[j])
+					}
 				}
 			}
 		}

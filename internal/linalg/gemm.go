@@ -22,8 +22,8 @@ package linalg
 
 import (
 	"runtime"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/obs"
 	"repro/internal/simd"
 )
@@ -86,32 +86,6 @@ func ResolveWorkers(workers int) int {
 	return Workers()
 }
 
-// parallelChunks splits [0, total) into at most `workers` contiguous
-// chunks and runs fn on each concurrently. workers must already be
-// resolved; workers == 1 runs inline.
-//
-//repro:ignore hotpath-alloc goroutine fan-out primitive: allocates bookkeeping only on the parallel path
-func parallelChunks(total, workers int, fn func(lo, hi int)) {
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		fn(0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := w * total / workers
-		hi := (w + 1) * total / workers
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // GemmNN computes C = A * B on column-major slices: A is m x k, B is
 // k x n, C is m x n, overwritten. workers <= 0 uses GOMAXPROCS.
 //
@@ -135,12 +109,12 @@ func GemmNN(c, a, b []float64, m, k, n, workers int) {
 	// Khatri-Rao product with small R).
 	if n >= 2*w {
 		//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-		parallelChunks(n, w, func(j0, j1 int) {
+		fanout.Split(n, w, func(_, j0, j1 int) {
 			gemmNN(c, a, b, m, k, kc, mc, 0, m, j0, j1)
 		})
 	} else {
 		//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-		parallelChunks(m, w, func(i0, i1 int) {
+		fanout.Split(m, w, func(_, i0, i1 int) {
 			gemmNN(c, a, b, m, k, kc, mc, i0, i1, 0, n)
 		})
 	}
@@ -233,7 +207,7 @@ func GemmTN(c, a, b []float64, m, ka, n, workers int) {
 	// Rows of C are columns of A: each worker owns a disjoint row
 	// range and streams its A columns exactly once.
 	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(ka, w, func(i0, i1 int) {
+	fanout.Split(ka, w, func(_, i0, i1 int) {
 		gemmTN(c, a, b, m, ka, n, i0, i1)
 	})
 }
@@ -284,7 +258,7 @@ func GemmNT(c, a, b []float64, m, k, nb, workers int) {
 		return
 	}
 	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(nb, w, func(j0, j1 int) {
+	fanout.Split(nb, w, func(_, j0, j1 int) {
 		gemmNT(c, a, b, m, k, nb, kc, mc, j0, j1)
 	})
 }

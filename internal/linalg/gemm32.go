@@ -10,6 +10,7 @@ package linalg
 // in bytes on the A stream.
 
 import (
+	"repro/internal/fanout"
 	"repro/internal/obs"
 	"repro/internal/simd"
 )
@@ -34,7 +35,7 @@ func Gemm32NN(c []float64, a []float32, b []float64, m, k, n, workers int) {
 		return
 	}
 	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(n, w, func(j0, j1 int) {
+	fanout.Split(n, w, func(_, j0, j1 int) {
 		gemm32NN(c, a, b, m, k, kc, j0, j1)
 	})
 }
@@ -88,7 +89,7 @@ func Gemm32TN(c []float64, a []float32, b []float64, m, ka, n, workers int) {
 		return
 	}
 	//repro:ignore hotpath-alloc sanctioned fan-out closure: bookkeeping only on the parallel path
-	parallelChunks(ka, w, func(i0, i1 int) {
+	fanout.Split(ka, w, func(_, i0, i1 int) {
 		gemm32TN(c, a, b, m, ka, n, i0, i1)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fanout"
 	"repro/internal/simd"
 	"repro/internal/tensor"
 )
@@ -246,13 +247,13 @@ func TestGemmBlocksBitwise(t *testing.T) {
 			for kc := 16; kc <= 4096; kc *= 2 {
 				for mc := 16; mc <= 4096 && kc*mc <= gemmBudget; mc *= 2 {
 					for _, w := range []int{1, 3} {
-						parallelChunks(n, w, func(j0, j1 int) { gemmNN(got, a, b, m, k, kc, mc, 0, m, j0, j1) })
+						fanout.Split(n, w, func(_, j0, j1 int) { gemmNN(got, a, b, m, k, kc, mc, 0, m, j0, j1) })
 						check("gemmNN/cols", refNN, kc, mc, w)
-						parallelChunks(m, w, func(i0, i1 int) { gemmNN(got, a, b, m, k, kc, mc, i0, i1, 0, n) })
+						fanout.Split(m, w, func(_, i0, i1 int) { gemmNN(got, a, b, m, k, kc, mc, i0, i1, 0, n) })
 						check("gemmNN/rows", refNN, kc, mc, w)
-						parallelChunks(n, w, func(j0, j1 int) { gemmNT(got, a, bt, m, k, n, kc, mc, j0, j1) })
+						fanout.Split(n, w, func(_, j0, j1 int) { gemmNT(got, a, bt, m, k, n, kc, mc, j0, j1) })
 						check("gemmNT", refNT, kc, mc, w)
-						parallelChunks(n, w, func(j0, j1 int) { gemm32NN(got, a32, b, m, k, kc, j0, j1) })
+						fanout.Split(n, w, func(_, j0, j1 int) { gemm32NN(got, a32, b, m, k, kc, j0, j1) })
 						check("gemm32NN", ref32, kc, mc, w)
 					}
 				}

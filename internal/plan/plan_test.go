@@ -429,9 +429,6 @@ func TestConcurrentPlans(t *testing.T) {
 		}
 		var res Result
 		e.Run(j.p, inst, &res, c.Workers)
-		if inst.sws != nil {
-			inst.sws.Release()
-		}
 		var out []float64
 		if res.B != nil {
 			out = append(out, res.B.Data()...)

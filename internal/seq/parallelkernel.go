@@ -3,8 +3,8 @@ package seq
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/tensor"
 )
@@ -38,35 +38,27 @@ func RefParallel(x *tensor.Dense, factors []*tensor.Matrix, n, workers int) *ten
 	dims := x.Dims()
 	data := x.Data()
 	privates := make([]*tensor.Matrix, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			lo := w * total / workers
-			hi := (w + 1) * total / workers
-			b := tensor.NewMatrix(x.Dim(n), R)
-			fcols, bcols := cacheCols(b, factors, n, R)
-			idx := multiIndexOf(lo, dims)
-			for off := lo; off < hi; off++ {
-				v := data[off]
-				in := idx[n]
-				for r := 0; r < R; r++ {
-					p := v
-					for k := 0; k < N; k++ {
-						if k == n {
-							continue
-						}
-						p *= fcols[k*R+r][idx[k]]
+	fanout.Split(total, workers, func(w, lo, hi int) {
+		b := tensor.NewMatrix(x.Dim(n), R)
+		fcols, bcols := cacheCols(b, factors, n, R)
+		idx := multiIndexOf(lo, dims)
+		for off := lo; off < hi; off++ {
+			v := data[off]
+			in := idx[n]
+			for r := 0; r < R; r++ {
+				p := v
+				for k := 0; k < N; k++ {
+					if k == n {
+						continue
 					}
-					bcols[r][in] += p
+					p *= fcols[k*R+r][idx[k]]
 				}
-				incIndex(idx, dims)
+				bcols[r][in] += p
 			}
-			privates[w] = b
-		}(w)
-	}
-	wg.Wait()
+			incIndex(idx, dims)
+		}
+		privates[w] = b
+	})
 	bufs := make([][]float64, workers)
 	for w, p := range privates {
 		bufs[w] = p.Data()

@@ -3,6 +3,7 @@ package sparse
 import (
 	"testing"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/tensor"
 )
@@ -179,7 +180,9 @@ func TestCSFWorkerBitwise(t *testing.T) {
 }
 
 // TestCSFZeroAlloc: after a warm-up call, MTTKRPInto and AllModesInto
-// allocate nothing, single- and multi-worker alike.
+// allocate nothing at one worker, and at more workers only the one
+// chunk fan-out's bookkeeping (the tree reduction here is small enough
+// to stay serial).
 func TestCSFZeroAlloc(t *testing.T) {
 	dims := []int{32, 24, 28}
 	c := Random(41, 4000, dims...)
@@ -192,14 +195,14 @@ func TestCSFZeroAlloc(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		ws := NewWorkspace()
-		defer ws.Release()
-		f.MTTKRPInto(b, fs, 1, w, ws)                                                                  // warm buffers and spawn the pool
-		if allocs := testing.AllocsPerRun(10, func() { f.MTTKRPInto(b, fs, 1, w, ws) }); allocs != 0 { //repro:bitwise exact allocation count
-			t.Errorf("MTTKRPInto workers=%d: steady state allocates %v objects/op, want 0", w, allocs)
+		bound := float64(fanout.AllocBound(w))
+		f.MTTKRPInto(b, fs, 1, w, ws) // warm buffers
+		if allocs := testing.AllocsPerRun(10, func() { f.MTTKRPInto(b, fs, 1, w, ws) }); allocs > bound {
+			t.Errorf("MTTKRPInto workers=%d: steady state allocates %v objects/op, want <= %v", w, allocs, bound)
 		}
 		f.AllModesInto(outs, fs, w, ws)
-		if allocs := testing.AllocsPerRun(10, func() { f.AllModesInto(outs, fs, w, ws) }); allocs != 0 { //repro:bitwise exact allocation count
-			t.Errorf("AllModesInto workers=%d: steady state allocates %v objects/op, want 0", w, allocs)
+		if allocs := testing.AllocsPerRun(10, func() { f.AllModesInto(outs, fs, w, ws) }); allocs > bound {
+			t.Errorf("AllModesInto workers=%d: steady state allocates %v objects/op, want <= %v", w, allocs, bound)
 		}
 	}
 }

@@ -27,6 +27,7 @@ package sparse
 import (
 	"fmt"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -283,56 +284,24 @@ func (t *CSF) chunkBounds(ws *Workspace, nbuf int) {
 	ws.bounds[nbuf] = int32(F)
 }
 
-// runChunks drains the chunk queue, inline when workers <= 1 and
-// with the workspace's persistent goroutine pool otherwise. Bucket
-// assignment is by chunk id alone, so any number of workers produces
-// bitwise-identical buckets.
+// runChunks runs every chunk, inline when workers <= 1 and across
+// workers otherwise. Bucket assignment is by chunk id alone, so any
+// number of workers produces bitwise-identical buckets; workers meet
+// only in disjoint per-chunk buckets (or disjoint root rows), merged
+// deterministically afterwards.
 //
 //repro:hotpath
 func (t *CSF) runChunks(ws *Workspace, workers, nbuf int, allModes bool) {
-	ws.queue.Store(0)
 	if workers <= 1 {
 		for c := 0; c < nbuf; c++ {
 			runChunk(t, &ws.walkers[0], ws, c, allModes)
 		}
 		return
 	}
-	ws.passT, ws.passNbuf, ws.passAll = t, nbuf, allModes
-	ws.ensurePool(workers)
-	ws.wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		ws.start <- i
-	}
-	// The calling goroutine is worker 0 and drains alongside the pool.
-	drainQueue(t, &ws.walkers[0], ws, nbuf, allModes)
-	ws.wg.Wait()
-	ws.passT = nil
-}
-
-// poolWorker is one persistent pool goroutine: each token on start
-// names the walker slot to drain the chunk queue with, and closing
-// the channel (Workspace.Release) terminates it. The channel comes in
-// as an argument — never re-read from the workspace — so Release can
-// swap the field without racing parked workers. A named top-level
-// function, so only its one-time spawn allocates; goroutines meet
-// only in disjoint per-chunk buckets (or disjoint root rows), merged
-// deterministically afterwards.
-func poolWorker(ws *Workspace, start chan int) {
-	for i := range start {
-		drainQueue(ws.passT, &ws.walkers[i], ws, ws.passNbuf, ws.passAll)
-		ws.wg.Done()
-	}
-}
-
-// drainQueue claims chunks off the shared queue until it is empty.
-func drainQueue(t *CSF, wk *csfWalker, ws *Workspace, nbuf int, allModes bool) {
-	for {
-		c := int(ws.queue.Add(1)) - 1
-		if c >= nbuf {
-			return
-		}
-		runChunk(t, wk, ws, c, allModes)
-	}
+	//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+	fanout.Queue(nbuf, workers, func(w, c int) {
+		runChunk(t, &ws.walkers[w], ws, c, allModes)
+	})
 }
 
 // runChunk points the walker's per-level outputs at chunk c's bucket

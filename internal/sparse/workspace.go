@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Workspace holds every buffer the CSF MTTKRP kernels need: row-major
 // mirrors of the factor matrices (one per tree level), the row-major
@@ -11,7 +8,9 @@ import (
 // tree reduction, the nnz-balanced chunk boundaries, and per-worker
 // walker scratch. Buffers grow monotonically and are reused across
 // calls, so an ALS sweep that cycles through the modes of one tensor
-// reaches a steady state with zero allocations.
+// reaches a steady state: a one-worker pass allocates nothing, a
+// multi-worker pass only the fan-out's bounded bookkeeping
+// (fanout.AllocBound).
 //
 // A Workspace is not safe for concurrent use by multiple kernel
 // calls; use one per goroutine (or the pool helpers below).
@@ -23,20 +22,6 @@ type Workspace struct {
 	bounds  []int32     // chunk boundaries over root fibers (nbuf+1 entries)
 	stack   []float64   // workers * 2*N*R walker scratch (subtree sums + prefixes)
 	walkers []csfWalker // one traversal state per worker
-
-	// Persistent worker pool. Goroutines are spawned once (lazily,
-	// up to the worker count in use) and parked on the start channel;
-	// each pass publishes its parameters in the pass* fields and
-	// sends one walker-index token per worker, so the steady state
-	// allocates nothing — not even the compiler-generated argument
-	// closure a per-pass `go f(args)` spawn would cost.
-	queue    atomic.Int64 // chunk work queue, drained by all workers
-	wg       sync.WaitGroup
-	start    chan int // walker-index tokens; closing terminates the pool
-	spawned  int      // live pool goroutines (they serve walkers 1..spawned)
-	passT    *CSF     // current pass: tree, bucket count, walk kind
-	passNbuf int
-	passAll  bool
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -89,44 +74,10 @@ func growf(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// ensurePool tops up the persistent worker pool so that workers-1
-// goroutines are parked on the start channel (the calling goroutine
-// always drains as walker 0). Spawning allocates; once the pool has
-// grown, passes reuse it allocation-free.
-//
-//repro:ignore hotpath-alloc pool spawn: allocates only while the pool still grows
-func (ws *Workspace) ensurePool(workers int) {
-	if ws.start == nil {
-		ws.start = make(chan int, workers)
-	}
-	for ws.spawned < workers-1 {
-		ws.spawned++
-		//repro:worker-pool parked CSF workers: woken by start tokens, drained by runChunks' WaitGroup, terminated by Release
-		go poolWorker(ws, ws.start)
-	}
-}
-
-// Release terminates the workspace's persistent worker goroutines.
-// The workspace stays usable afterwards — the pool respawns on
-// demand. Call it (or PutWorkspace) when dropping a workspace that
-// ran multi-worker passes, so no goroutines stay parked on it.
-func (ws *Workspace) Release() {
-	if ws.start != nil {
-		close(ws.start)
-		ws.start = nil
-		ws.spawned = 0
-	}
-}
-
 var csfWsPool = sync.Pool{New: func() any { return new(Workspace) }}
 
 // GetWorkspace fetches a CSF workspace from the shared pool.
 func GetWorkspace() *Workspace { return csfWsPool.Get().(*Workspace) }
 
-// PutWorkspace releases a workspace's worker pool and returns it to
-// the shared pool for reuse (a pool-evicted workspace must not hold
-// parked goroutines).
-func PutWorkspace(ws *Workspace) {
-	ws.Release()
-	csfWsPool.Put(ws)
-}
+// PutWorkspace returns a workspace to the shared pool for reuse.
+func PutWorkspace(ws *Workspace) { csfWsPool.Put(ws) }

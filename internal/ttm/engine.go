@@ -2,9 +2,8 @@ package ttm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
@@ -170,10 +169,7 @@ const ttmChunks = 16
 //repro:hotpath
 func ttmSlabs(out, data, ud []float64, L, I, Rt, R, workers int, trans bool) {
 	workers = linalg.ResolveWorkers(workers)
-	nchunk := ttmChunks
-	if nchunk > Rt {
-		nchunk = Rt
-	}
+	nchunk := min(ttmChunks, Rt)
 	if workers > nchunk {
 		workers = nchunk
 	}
@@ -183,7 +179,24 @@ func ttmSlabs(out, data, ud []float64, L, I, Rt, R, workers int, trans bool) {
 		}
 		return
 	}
-	ttmSlabsParallel(out, data, ud, L, I, Rt, R, nchunk, workers, trans)
+	// Chunk boundaries depend only on (Rt, nchunk), and every slab's
+	// GEMM writes a disjoint out range single-threaded, so any
+	// assignment of chunks to workers produces bitwise identical
+	// output.
+	fr := flight.Rec()
+	//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+	fanout.Queue(nchunk, workers, func(w, c int) {
+		if fr.Enabled() {
+			fr.Begin(flight.AnonPid, w, ttmSlabName)
+		}
+		t0, t1 := c*Rt/nchunk, (c+1)*Rt/nchunk
+		for t := t0; t < t1; t++ {
+			slabGemm(out, data, ud, L, I, R, t, trans)
+		}
+		if fr.Enabled() {
+			fr.End(flight.AnonPid, w, ttmSlabName)
+		}
+	})
 }
 
 // slabGemm runs the single-threaded GEMM of slab t.
@@ -197,39 +210,4 @@ func slabGemm(out, data, ud []float64, L, I, R, t int, trans bool) {
 	} else {
 		linalg.GemmNN(y, x, ud, L, I, R, 1)
 	}
-}
-
-// ttmSlabsParallel drains a fixed queue of slab chunks with `workers`
-// goroutines. Chunk boundaries depend only on (Rt, nchunk), and every
-// slab's GEMM writes a disjoint out range single-threaded, so any
-// assignment of chunks to workers produces bitwise identical output.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func ttmSlabsParallel(out, data, ud []float64, L, I, Rt, R, nchunk, workers int, trans bool) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	fr := flight.Rec()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nchunk {
-					return
-				}
-				if fr.Enabled() {
-					fr.Begin(flight.AnonPid, tid, ttmSlabName)
-				}
-				t0, t1 := c*Rt/nchunk, (c+1)*Rt/nchunk
-				for t := t0; t < t1; t++ {
-					slabGemm(out, data, ud, L, I, R, t, trans)
-				}
-				if fr.Enabled() {
-					fr.End(flight.AnonPid, tid, ttmSlabName)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -2,9 +2,8 @@ package ttm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -65,10 +64,7 @@ func GramInto(g *tensor.Matrix, y *tensor.Dense, mode, workers int, ws *Workspac
 func gramSlabs(g, data []float64, L, I, Rt, workers int, ws *Workspace) {
 	n := I * I
 	workers = linalg.ResolveWorkers(workers)
-	nbuf := gramChunks
-	if nbuf > Rt {
-		nbuf = Rt
-	}
+	nbuf := min(gramChunks, Rt)
 	if workers > nbuf {
 		workers = nbuf
 	}
@@ -80,13 +76,28 @@ func gramSlabs(g, data []float64, L, I, Rt, workers int, ws *Workspace) {
 	for _, b := range bufs {
 		clearSlice(b)
 	}
+	ws.bufs = bufs
 	if workers <= 1 {
 		wbuf := ws.scratch[:n]
 		for c := 0; c < nbuf; c++ {
 			gramChunk(bufs[c], wbuf, data, L, I, Rt, c, nbuf)
 		}
 	} else {
-		gramSlabsParallel(bufs, data, L, I, Rt, nbuf, workers, ws)
+		// Chunk c's bucket is touched only by the worker that claimed
+		// c, so buckets need no locking and the ReduceTree merge is
+		// the only cross-worker combine. The closure reads the buckets
+		// through ws, so the serial path above keeps bufs off the heap.
+		fr := flight.Rec()
+		//repro:ignore hotpath-alloc fan-out closure: bookkeeping only on the parallel path
+		fanout.Queue(nbuf, workers, func(w, c int) {
+			if fr.Enabled() {
+				fr.Begin(flight.AnonPid, w, gramSlabName)
+			}
+			gramChunk(ws.bufs[c], ws.scratch[w*n:(w+1)*n], data, L, I, Rt, c, nbuf)
+			if fr.Enabled() {
+				fr.End(flight.AnonPid, w, gramSlabName)
+			}
+		})
 	}
 	kernel.ReduceTree(bufs, workers)
 	ws.bufs = bufs[:0]
@@ -104,40 +115,6 @@ func gramChunk(bucket, wbuf, data []float64, L, I, Rt, c, nbuf int) {
 		simd.Add(bucket, wbuf)
 	}
 	obs.Axpy(t1-t0, len(bucket))
-}
-
-// gramSlabsParallel drains the fixed chunk queue with `workers`
-// goroutines; chunk c's bucket is touched only by the worker that
-// claimed c, so buckets need no locking and the ReduceTree merge is
-// the only cross-worker combine.
-//
-//repro:ignore hotpath-alloc goroutine fan-out: the parallel path allocates bookkeeping only
-func gramSlabsParallel(bufs [][]float64, data []float64, L, I, Rt, nbuf, workers int, ws *Workspace) {
-	n := I * I
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	fr := flight.Rec()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			wbuf := ws.scratch[tid*n : (tid+1)*n]
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= nbuf {
-					return
-				}
-				if fr.Enabled() {
-					fr.Begin(flight.AnonPid, tid, gramSlabName)
-				}
-				gramChunk(bufs[c], wbuf, data, L, I, Rt, c, nbuf)
-				if fr.Enabled() {
-					fr.End(flight.AnonPid, tid, gramSlabName)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 func clearSlice(s []float64) {

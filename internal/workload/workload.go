@@ -6,6 +6,8 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/tensor"
 )
@@ -66,4 +68,24 @@ func PowersOfTwo(lo, hi int) []int {
 		out = append(out, 1<<e)
 	}
 	return out
+}
+
+// ParseInts parses a comma-separated list of positive integers, the
+// form the commands' -dims, -ranks and -grid flags take. It rejects a
+// list with fewer than minLen entries and any entry that is not an
+// integer >= 1; surrounding spaces are allowed.
+func ParseInts(s string, minLen int) ([]int, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) < minLen {
+		return nil, fmt.Errorf("need at least %d comma-separated values, got %q", minLen, s)
+	}
+	out := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad value %q: want an integer >= 1", p)
+		}
+		out[i] = v
+	}
+	return out, nil
 }

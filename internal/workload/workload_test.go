@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -82,4 +83,51 @@ func TestPowersOfTwo(t *testing.T) {
 		}
 	}()
 	PowersOfTwo(5, 3)
+}
+
+func TestParseInts(t *testing.T) {
+	for _, c := range []struct {
+		s      string
+		minLen int
+		want   []int
+	}{
+		{"64,64,64", 2, []int{64, 64, 64}},
+		{" 3 , 4", 2, []int{3, 4}},
+		{"8", 1, []int{8}},
+		{"8", 2, nil},
+		{"", 1, nil},
+		{"4,,4", 1, nil},
+		{"4,0", 1, nil},
+		{"4,-2", 1, nil},
+		{"4,x", 1, nil},
+		{"99999999999999999999", 1, nil},
+	} {
+		got, err := ParseInts(c.s, c.minLen)
+		if (err == nil) != (c.want != nil) || !slices.Equal(got, c.want) {
+			t.Errorf("ParseInts(%q, %d) = %v, %v; want %v", c.s, c.minLen, got, err, c.want)
+		}
+	}
+}
+
+// FuzzParseInts: the shared flag parser never panics, and everything
+// it accepts is a list of at least minLen integers, each >= 1.
+func FuzzParseInts(f *testing.F) {
+	for _, s := range []string{"64,64,64", "1", "", ",", "0", "-1", " 7 ,8", "1,2,x", "+5", "9223372036854775807", "1e3", "0x10"} {
+		f.Add(s, 2)
+		f.Add(s, 1)
+	}
+	f.Fuzz(func(t *testing.T, s string, minLen int) {
+		got, err := ParseInts(s, minLen)
+		if err != nil {
+			return
+		}
+		if len(got) < minLen || len(got) == 0 {
+			t.Fatalf("ParseInts(%q, %d) accepted %d values", s, minLen, len(got))
+		}
+		for _, v := range got {
+			if v < 1 {
+				t.Fatalf("ParseInts(%q, %d) accepted %d", s, minLen, v)
+			}
+		}
+	})
 }
